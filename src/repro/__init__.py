@@ -27,38 +27,40 @@ Quickstart::
     print(report.headline.sandwich_count)
 """
 
-from repro.collector import MeasurementCampaign
-from repro.core import (
-    AnalysisPipeline,
-    DefensiveBundlingClassifier,
-    LossQuantifier,
-    SandwichDetector,
-)
-from repro.obs import NULL_REGISTRY, EventLog, MetricsRegistry
-from repro.parallel import DetectorSpec, ParallelAnalysisEngine
-from repro.simulation import (
-    ScenarioConfig,
-    SimulationEngine,
-    paper_scenario,
-    small_scenario,
-)
+import importlib
 
 __version__ = "1.1.0"
 
-__all__ = [
-    "AnalysisPipeline",
-    "DefensiveBundlingClassifier",
-    "DetectorSpec",
-    "EventLog",
-    "LossQuantifier",
-    "MeasurementCampaign",
-    "MetricsRegistry",
-    "NULL_REGISTRY",
-    "ParallelAnalysisEngine",
-    "SandwichDetector",
-    "ScenarioConfig",
-    "SimulationEngine",
-    "__version__",
-    "paper_scenario",
-    "small_scenario",
-]
+#: Public name -> the module defining it, imported on first use, so that
+#: ``import repro.archive`` (say) does not load the simulator.
+_EXPORTS = {
+    "AnalysisPipeline": "repro.core",
+    "DefensiveBundlingClassifier": "repro.core",
+    "DetectorSpec": "repro.parallel",
+    "EventLog": "repro.obs",
+    "LossQuantifier": "repro.core",
+    "MeasurementCampaign": "repro.collector",
+    "MetricsRegistry": "repro.obs",
+    "NULL_REGISTRY": "repro.obs",
+    "ParallelAnalysisEngine": "repro.parallel",
+    "SandwichDetector": "repro.core",
+    "ScenarioConfig": "repro.simulation",
+    "SimulationEngine": "repro.simulation",
+    "paper_scenario": "repro.simulation",
+    "small_scenario": "repro.simulation",
+}
+
+__all__ = [*_EXPORTS, "__version__"]
+
+
+def __getattr__(name: str):
+    """Import the module that defines ``name`` on first access (PEP 562)."""
+    try:
+        module = _EXPORTS[name]
+    except KeyError:
+        raise AttributeError(
+            f"module {__name__!r} has no attribute {name!r}"
+        ) from None
+    value = getattr(importlib.import_module(module), name)
+    globals()[name] = value
+    return value

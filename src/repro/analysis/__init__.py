@@ -21,45 +21,49 @@ Extension studies beyond the paper's artifacts:
 - :mod:`repro.analysis.export` — figure series as CSV
 """
 
-from repro.analysis.actors import ActorStudy, profile_actors
-from repro.analysis.cost_benefit import CostBenefit, compute_cost_benefit
-from repro.analysis.defenses import slippage_sweep, split_sweep
-from repro.analysis.extrapolate import ScaleFactors, extrapolated_headline
-from repro.analysis.latency import LatencyStudy, latency_by_tip
-from repro.analysis.sensitivity import SensitivityReport, multi_seed_study
-from repro.analysis.validators import ValidatorStudy, profile_validators
-from repro.analysis.figure1 import Figure1, build_figure1
-from repro.analysis.figure2 import Figure2, build_figure2
-from repro.analysis.figure3 import Figure3, build_figure3
-from repro.analysis.figure4 import Figure4, build_figure4
-from repro.analysis.headline import HeadlineComparison, build_headline_comparison
-from repro.analysis.table1 import Table1, build_table1
+import importlib
 
-__all__ = [
-    "ActorStudy",
-    "CostBenefit",
-    "Figure1",
-    "Figure2",
-    "Figure3",
-    "Figure4",
-    "HeadlineComparison",
-    "LatencyStudy",
-    "ScaleFactors",
-    "SensitivityReport",
-    "Table1",
-    "ValidatorStudy",
-    "build_figure1",
-    "build_figure2",
-    "build_figure3",
-    "build_figure4",
-    "build_headline_comparison",
-    "build_table1",
-    "compute_cost_benefit",
-    "extrapolated_headline",
-    "latency_by_tip",
-    "multi_seed_study",
-    "profile_actors",
-    "profile_validators",
-    "slippage_sweep",
-    "split_sweep",
-]
+#: Public name -> the submodule defining it, imported on first use.
+_EXPORTS = {
+    "ActorStudy": "actors",
+    "CostBenefit": "cost_benefit",
+    "Figure1": "figure1",
+    "Figure2": "figure2",
+    "Figure3": "figure3",
+    "Figure4": "figure4",
+    "HeadlineComparison": "headline",
+    "LatencyStudy": "latency",
+    "ScaleFactors": "extrapolate",
+    "SensitivityReport": "sensitivity",
+    "Table1": "table1",
+    "ValidatorStudy": "validators",
+    "build_figure1": "figure1",
+    "build_figure2": "figure2",
+    "build_figure3": "figure3",
+    "build_figure4": "figure4",
+    "build_headline_comparison": "headline",
+    "build_table1": "table1",
+    "compute_cost_benefit": "cost_benefit",
+    "extrapolated_headline": "extrapolate",
+    "latency_by_tip": "latency",
+    "multi_seed_study": "sensitivity",
+    "profile_actors": "actors",
+    "profile_validators": "validators",
+    "slippage_sweep": "defenses",
+    "split_sweep": "defenses",
+}
+
+__all__ = list(_EXPORTS)
+
+
+def __getattr__(name: str):
+    """Import the submodule that defines ``name`` on first access (PEP 562)."""
+    try:
+        submodule = _EXPORTS[name]
+    except KeyError:
+        raise AttributeError(
+            f"module {__name__!r} has no attribute {name!r}"
+        ) from None
+    value = getattr(importlib.import_module(f"{__name__}.{submodule}"), name)
+    globals()[name] = value
+    return value

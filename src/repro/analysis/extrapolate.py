@@ -11,6 +11,7 @@ those factors and converts measured counts back to paper scale.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import TYPE_CHECKING
 
 from repro.constants import (
     CAMPAIGN_DAYS,
@@ -18,7 +19,9 @@ from repro.constants import (
     PAPER_SANDWICH_COUNT,
 )
 from repro.core.aggregate import HeadlineStats
-from repro.simulation.config import ScenarioConfig
+
+if TYPE_CHECKING:
+    from repro.simulation.config import ScenarioConfig
 
 
 @dataclass(frozen=True)

@@ -4,9 +4,12 @@ with shaded collection-downtime gaps."""
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import TYPE_CHECKING
 
 from repro.analysis.figures import format_table, sparkline
-from repro.collector.campaign import CampaignResult
+
+if TYPE_CHECKING:
+    from repro.collector.campaign import CampaignResult
 
 
 @dataclass

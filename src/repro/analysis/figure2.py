@@ -4,10 +4,13 @@ victim losses and attacker gains per day in SOL (bottom)."""
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import TYPE_CHECKING
 
 from repro.analysis.figures import format_table, sparkline
-from repro.collector.campaign import CampaignResult
 from repro.core.pipeline import AnalysisReport
+
+if TYPE_CHECKING:
+    from repro.collector.campaign import CampaignResult
 
 
 @dataclass

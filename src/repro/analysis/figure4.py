@@ -10,13 +10,16 @@ bundle tips 1,000 lamports while the median Sandwiching bundle tips over
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import TYPE_CHECKING
 
 from repro.analysis.figures import format_table
-from repro.collector.campaign import CampaignResult
 from repro.constants import DEFENSIVE_TIP_THRESHOLD_LAMPORTS
 from repro.core.pipeline import AnalysisReport
 from repro.errors import ConfigError
 from repro.utils.stats import Cdf
+
+if TYPE_CHECKING:
+    from repro.collector.campaign import CampaignResult
 
 
 @dataclass

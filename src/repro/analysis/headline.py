@@ -3,13 +3,16 @@
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import TYPE_CHECKING
 
 from repro import constants
 from repro.analysis.extrapolate import ScaleFactors, extrapolated_headline
 from repro.analysis.figures import format_table
-from repro.collector.campaign import CampaignResult
 from repro.core.pipeline import AnalysisReport
-from repro.simulation.config import ScenarioConfig
+
+if TYPE_CHECKING:
+    from repro.collector.campaign import CampaignResult
+    from repro.simulation.config import ScenarioConfig
 
 
 @dataclass(frozen=True)

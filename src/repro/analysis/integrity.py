@@ -15,10 +15,13 @@ across replays of the same seed and plan.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import TYPE_CHECKING
 
-from repro.collector.campaign import CampaignResult
-from repro.collector.coverage import CollectionGap
 from repro.obs.export import _sum_counter
+
+if TYPE_CHECKING:
+    from repro.collector.campaign import CampaignResult
+    from repro.collector.coverage import CollectionGap
 
 
 @dataclass(frozen=True)

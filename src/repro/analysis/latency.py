@@ -12,11 +12,14 @@ rather than assumed.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import TYPE_CHECKING
 
 from repro.analysis.figures import format_table
 from repro.errors import ConfigError
-from repro.jito.block_engine import BundleOutcome
 from repro.utils.stats import summarize
+
+if TYPE_CHECKING:
+    from repro.jito.block_engine import BundleOutcome
 
 
 @dataclass(frozen=True)

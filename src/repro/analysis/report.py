@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+from typing import TYPE_CHECKING
+
 from repro.analysis.figure1 import build_figure1
 from repro.analysis.figure2 import build_figure2
 from repro.analysis.figure3 import build_figure3
@@ -11,11 +13,13 @@ from repro.analysis.cost_benefit import compute_cost_benefit
 from repro.analysis.headline import build_headline_comparison
 from repro.analysis.integrity import build_collection_integrity
 from repro.analysis.validators import profile_validators
-from repro.collector.campaign import CampaignResult
 from repro.core.pipeline import AnalysisReport
 from repro.errors import ConfigError
 from repro.obs.export import render_pipeline_health
-from repro.simulation.config import ScenarioConfig
+
+if TYPE_CHECKING:
+    from repro.collector.campaign import CampaignResult
+    from repro.simulation.config import ScenarioConfig
 
 
 def render_campaign_report(

@@ -11,11 +11,14 @@ distributes across the validator set.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from typing import TYPE_CHECKING
 
 from repro.analysis.figures import format_table
 from repro.core.events import SandwichEvent
 from repro.errors import ConfigError
-from repro.simulation.results import SimulationWorld
+
+if TYPE_CHECKING:
+    from repro.simulation.results import SimulationWorld
 
 
 @dataclass(frozen=True)

@@ -11,42 +11,39 @@ derives, plus the query engine re-measurement studies run against it:
 - :mod:`repro.archive.incremental` — watermarked delta re-analysis
 """
 
-from repro.archive.checkpoint import (
-    CHECKPOINT_VERSION,
-    CheckpointedCampaign,
-    scenario_fingerprint,
-)
-from repro.archive.database import (
-    ARCHIVE_FILENAME,
-    ArchiveDatabase,
-    is_archive_path,
-)
-from repro.archive.incremental import IncrementalAnalyzer, IncrementalResult
-from repro.archive.query import (
-    ArchiveChunk,
-    ArchiveQuery,
-    BundleFilter,
-    BundleKey,
-    SandwichFilter,
-)
-from repro.archive.schema import SCHEMA_VERSION
-from repro.archive.store import ArchiveBundleStore, FlushPolicy
+import importlib
 
-__all__ = [
-    "ARCHIVE_FILENAME",
-    "ArchiveBundleStore",
-    "ArchiveChunk",
-    "ArchiveDatabase",
-    "ArchiveQuery",
-    "BundleFilter",
-    "BundleKey",
-    "CHECKPOINT_VERSION",
-    "CheckpointedCampaign",
-    "FlushPolicy",
-    "IncrementalAnalyzer",
-    "IncrementalResult",
-    "SandwichFilter",
-    "SCHEMA_VERSION",
-    "scenario_fingerprint",
-    "is_archive_path",
-]
+#: Public name -> the submodule defining it, imported on first use.
+_EXPORTS = {
+    "ARCHIVE_FILENAME": "database",
+    "ArchiveBundleStore": "store",
+    "ArchiveChunk": "query",
+    "ArchiveDatabase": "database",
+    "ArchiveQuery": "query",
+    "BundleFilter": "query",
+    "BundleKey": "query",
+    "CHECKPOINT_VERSION": "checkpoint",
+    "CheckpointedCampaign": "checkpoint",
+    "FlushPolicy": "store",
+    "IncrementalAnalyzer": "incremental",
+    "IncrementalResult": "incremental",
+    "SandwichFilter": "query",
+    "SCHEMA_VERSION": "schema",
+    "scenario_fingerprint": "checkpoint",
+    "is_archive_path": "database",
+}
+
+__all__ = list(_EXPORTS)
+
+
+def __getattr__(name: str):
+    """Import the submodule that defines ``name`` on first access (PEP 562)."""
+    try:
+        submodule = _EXPORTS[name]
+    except KeyError:
+        raise AttributeError(
+            f"module {__name__!r} has no attribute {name!r}"
+        ) from None
+    value = getattr(importlib.import_module(f"{__name__}.{submodule}"), name)
+    globals()[name] = value
+    return value

@@ -40,18 +40,6 @@ import sys
 import time
 from pathlib import Path
 
-from repro import AnalysisPipeline, MeasurementCampaign
-from repro.analysis import build_table1
-from repro.analysis.report import render_campaign_report
-from repro.collector import (
-    BundlePoller,
-    BundleStore,
-    CoverageEstimator,
-    HttpExplorerClient,
-    TxDetailFetcher,
-)
-from repro.collector.poller import PollerConfig
-from repro.core import DefensiveBundlingClassifier, SandwichDetector
 from repro.errors import ConfigError, ReproError
 from repro.obs import (
     ConsoleSink,
@@ -63,7 +51,6 @@ from repro.obs import (
     render_summary,
     save_snapshot,
 )
-from repro.simulation import SimulationEngine, paper_scenario, small_scenario
 from repro.utils.serialization import write_jsonl
 
 
@@ -84,6 +71,8 @@ def _build_logs(args: argparse.Namespace) -> tuple[EventLog, EventLog]:
 
 
 def _scenario_from_args(args: argparse.Namespace):
+    from repro.simulation import paper_scenario, small_scenario
+
     # ``campaign`` leaves --seed at None so pack runs can distinguish "use
     # the pack's own base seed" from an explicit override; plain campaigns
     # keep the historical 2025 default.
@@ -150,6 +139,10 @@ def _run_scenario_pack(args: argparse.Namespace) -> int:
 
 def cmd_campaign(args: argparse.Namespace) -> int:
     """Run a campaign; write store + report + summary under --out."""
+    from repro.analysis.report import render_campaign_report
+    from repro.collector import MeasurementCampaign
+    from repro.core import AnalysisPipeline
+
     if getattr(args, "scenario", None):
         if args.stream or args.resume or args.archive:
             progress, _output = _build_logs(args)
@@ -316,7 +309,10 @@ def cmd_chaos(args: argparse.Namespace) -> int:
     come back clean, which is how CI verifies chaos replayability.
     """
     from repro.analysis.integrity import build_collection_integrity
+    from repro.analysis.report import render_campaign_report
+    from repro.collector import MeasurementCampaign
     from repro.collector.detail_fetcher import DetailFetcherConfig
+    from repro.core import AnalysisPipeline
     from repro.faults import load_plan
 
     progress, output = _build_logs(args)
@@ -389,7 +385,11 @@ def cmd_analyze(args: argparse.Namespace) -> int:
     re-detects only rows newer than the last analyzed watermark.
     """
     from repro.archive.database import is_archive_path
-    from repro.core import WindowedSandwichDetector
+    from repro.core import (
+        DefensiveBundlingClassifier,
+        SandwichDetector,
+        WindowedSandwichDetector,
+    )
 
     progress, output = _build_logs(args)
     emit = lambda message, **fields: output.info(  # noqa: E731
@@ -524,6 +524,9 @@ def cmd_analyze(args: argparse.Namespace) -> int:
                 "have no analysis watermark",
             )
             return 2
+        from repro.collector.store import BundleStore
+        from repro.core import AnalysisPipeline
+
         store = BundleStore.load(args.store)
         pipeline = AnalysisPipeline(detector=detector, classifier=classifier)
         report = pipeline.analyze_store(store)
@@ -637,6 +640,7 @@ def cmd_stream(args: argparse.Namespace) -> int:
 def cmd_archive(args: argparse.Namespace) -> int:
     """Archive maintenance: JSONL import/export, stats, vacuum."""
     from repro.archive import ArchiveBundleStore, ArchiveDatabase
+    from repro.collector.store import BundleStore
 
     progress, output = _build_logs(args)
     emit = lambda message, **fields: output.info(  # noqa: E731
@@ -825,6 +829,7 @@ def cmd_serve(args: argparse.Namespace) -> int:
     from repro.explorer.http_server import ThreadedExplorerServer
     from repro.explorer.service import ExplorerConfig, ExplorerService
     from repro.serve.runner import run_until_interrupt
+    from repro.simulation import SimulationEngine
 
     progress, output = _build_logs(args)
     scenario = _scenario_from_args(args)
@@ -918,6 +923,16 @@ def cmd_api(args: argparse.Namespace) -> int:
 
 def cmd_scrape(args: argparse.Namespace) -> int:
     """Collect from a live explorer over HTTP, then persist the store."""
+    from repro.collector import (
+        BundlePoller,
+        BundleStore,
+        CoverageEstimator,
+        HttpExplorerClient,
+        PollerConfig,
+        TxDetailFetcher,
+    )
+    from repro.utils.simtime import SimClock
+
     progress, output = _build_logs(args)
     client = HttpExplorerClient(args.host, args.port)
     if not client.health():
@@ -928,8 +943,6 @@ def cmd_scrape(args: argparse.Namespace) -> int:
             port=args.port,
         )
         return 1
-    from repro.utils.simtime import SimClock
-
     clock = SimClock()
     metrics = MetricsRegistry(time_fn=clock.now)
     store = BundleStore(metrics=metrics)
@@ -1080,6 +1093,8 @@ def cmd_scenarios(args: argparse.Namespace) -> int:
 
 def cmd_table1(args: argparse.Namespace) -> int:
     """Print the paper's Table 1, executed for real."""
+    from repro.analysis.table1 import build_table1
+
     _progress, output = _build_logs(args)
     table = build_table1(
         victim_trade_sol=args.victim_sol, victim_slippage_bps=args.slippage_bps

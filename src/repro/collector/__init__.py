@@ -12,27 +12,36 @@
   live simulation.
 """
 
-from repro.collector.campaign import CampaignResult, MeasurementCampaign
-from repro.collector.client import ExplorerClient, InProcessExplorerClient
-from repro.collector.coverage import CoverageEstimator
-from repro.collector.detail_fetcher import DetailFetcherConfig, TxDetailFetcher
-from repro.collector.http_client import HttpExplorerClient
-from repro.collector.persistent import PersistentBundleStore
-from repro.collector.poller import BundlePoller, PollerConfig, PollStatus
-from repro.collector.store import BundleStore
+import importlib
 
-__all__ = [
-    "BundlePoller",
-    "BundleStore",
-    "CampaignResult",
-    "CoverageEstimator",
-    "DetailFetcherConfig",
-    "ExplorerClient",
-    "HttpExplorerClient",
-    "InProcessExplorerClient",
-    "MeasurementCampaign",
-    "PersistentBundleStore",
-    "PollStatus",
-    "PollerConfig",
-    "TxDetailFetcher",
-]
+#: Public name -> the submodule defining it, imported on first use.
+_EXPORTS = {
+    "BundlePoller": "poller",
+    "BundleStore": "store",
+    "CampaignResult": "campaign",
+    "CoverageEstimator": "coverage",
+    "DetailFetcherConfig": "detail_fetcher",
+    "ExplorerClient": "client",
+    "HttpExplorerClient": "http_client",
+    "InProcessExplorerClient": "client",
+    "MeasurementCampaign": "campaign",
+    "PersistentBundleStore": "persistent",
+    "PollStatus": "poller",
+    "PollerConfig": "poller",
+    "TxDetailFetcher": "detail_fetcher",
+}
+
+__all__ = list(_EXPORTS)
+
+
+def __getattr__(name: str):
+    """Import the submodule that defines ``name`` on first access (PEP 562)."""
+    try:
+        submodule = _EXPORTS[name]
+    except KeyError:
+        raise AttributeError(
+            f"module {__name__!r} has no attribute {name!r}"
+        ) from None
+    value = getattr(importlib.import_module(f"{__name__}.{submodule}"), name)
+    globals()[name] = value
+    return value

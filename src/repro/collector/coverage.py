@@ -44,6 +44,9 @@ class CoverageEstimator:
     successful_polls: int = 0
     failure_times: list[float] = field(default_factory=list)
     _previous_ids: frozenset[str] | None = None
+    #: How many of :attr:`pairs` overlapped, kept so the poller's
+    #: per-poll gauge update is O(1) rather than a rescan of every pair.
+    _overlapped_pairs: int = 0
 
     def observe_success(
         self, poll_time: float, returned_ids: list[str], new_bundles: int
@@ -63,6 +66,7 @@ class CoverageEstimator:
                 verdict = True  # nothing landed; nothing missed
             else:
                 verdict = bool(current & self._previous_ids)
+            self._overlapped_pairs += verdict
             self.pairs.append(
                 PollPairObservation(
                     poll_time=poll_time,
@@ -112,6 +116,7 @@ class CoverageEstimator:
             )
             for pair in state["pairs"]
         ]
+        self._overlapped_pairs = sum(pair.overlapped for pair in self.pairs)
         self.failed_polls = int(state["failed_polls"])
         self.successful_polls = int(state["successful_polls"])
         self.failure_times = list(state["failure_times"])
@@ -129,7 +134,7 @@ class CoverageEstimator:
         """Fraction of successive successful pairs that overlapped."""
         if not self.pairs:
             return 1.0
-        return sum(1 for p in self.pairs if p.overlapped) / len(self.pairs)
+        return self._overlapped_pairs / len(self.pairs)
 
     def missed_pair_times(self) -> list[float]:
         """Poll times where overlap failed (bundles likely missed)."""

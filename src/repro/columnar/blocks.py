@@ -27,7 +27,7 @@ from typing import Sequence
 
 from repro.archive.query import ArchiveQuery
 from repro.explorer.models import BundleRecord
-from repro.jito.tips import is_tip_account
+from repro.jito.tip_identity import is_tip_account
 
 try:  # numpy is optional; blocks degrade to pure-python containers
     import numpy as _np

@@ -16,36 +16,40 @@ Machine-checked equivalence across every way the pipeline can execute:
 The oracle contract is documented in ``docs/TESTING.md``.
 """
 
-from repro.conformance.canon import canon_float, canonical_json_bytes, digest, fmt_fixed
-from repro.conformance.oracle import (
-    DifferentialResult,
-    PipelineConfig,
-    ReportDiff,
-    comparable_payload,
-    default_configs,
-    diff_reports,
-    ensure_reports_identical,
-    run_differential,
-)
-from repro.conformance.scenarios import CORPUS_SCENARIOS, SyntheticScenario
-from repro.conformance.selftest import DEFAULT_SEEDS, SelftestReport, run_selftest
+import importlib
 
-__all__ = [
-    "CORPUS_SCENARIOS",
-    "DEFAULT_SEEDS",
-    "DifferentialResult",
-    "PipelineConfig",
-    "ReportDiff",
-    "SelftestReport",
-    "SyntheticScenario",
-    "canon_float",
-    "canonical_json_bytes",
-    "comparable_payload",
-    "default_configs",
-    "diff_reports",
-    "digest",
-    "ensure_reports_identical",
-    "fmt_fixed",
-    "run_differential",
-    "run_selftest",
-]
+#: Public name -> the submodule defining it, imported on first use.
+_EXPORTS = {
+    "CORPUS_SCENARIOS": "scenarios",
+    "DEFAULT_SEEDS": "selftest",
+    "DifferentialResult": "oracle",
+    "PipelineConfig": "oracle",
+    "ReportDiff": "oracle",
+    "SelftestReport": "selftest",
+    "SyntheticScenario": "scenarios",
+    "canon_float": "canon",
+    "canonical_json_bytes": "canon",
+    "comparable_payload": "oracle",
+    "default_configs": "oracle",
+    "diff_reports": "oracle",
+    "digest": "canon",
+    "ensure_reports_identical": "oracle",
+    "fmt_fixed": "canon",
+    "run_differential": "oracle",
+    "run_selftest": "selftest",
+}
+
+__all__ = list(_EXPORTS)
+
+
+def __getattr__(name: str):
+    """Import the submodule that defines ``name`` on first access (PEP 562)."""
+    try:
+        submodule = _EXPORTS[name]
+    except KeyError:
+        raise AttributeError(
+            f"module {__name__!r} has no attribute {name!r}"
+        ) from None
+    value = getattr(importlib.import_module(f"{__name__}.{submodule}"), name)
+    globals()[name] = value
+    return value

@@ -9,8 +9,8 @@ series, and headline statistics.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import TYPE_CHECKING
 
-from repro.collector.campaign import CampaignResult
 from repro.collector.store import BundleStore
 from repro.core.aggregate import (
     DailySandwichStats,
@@ -23,6 +23,9 @@ from repro.core.detector import DetectionStats, SandwichDetector
 from repro.core.quantify import LossQuantifier, QuantifiedSandwich
 from repro.dex.oracle import PriceOracle
 from repro.obs.registry import NULL_REGISTRY, MetricsRegistry
+
+if TYPE_CHECKING:
+    from repro.collector.campaign import CampaignResult
 
 
 @dataclass

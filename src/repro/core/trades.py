@@ -11,7 +11,7 @@ from dataclasses import dataclass
 
 from repro.errors import DetectionError
 from repro.explorer.models import TransactionRecord
-from repro.jito.tips import is_tip_account
+from repro.jito.tip_identity import is_tip_account
 
 
 @dataclass(frozen=True)

@@ -8,22 +8,31 @@ enforces per-client rate limits and injected instability windows.
 end-to-end collector tests.
 """
 
-from repro.explorer.models import BundleRecord, TransactionRecord
-from repro.explorer.service import ExplorerConfig, ExplorerService
-from repro.explorer.wire import (
-    bundle_record_from_json,
-    bundle_record_to_json,
-    transaction_record_from_json,
-    transaction_record_to_json,
-)
+import importlib
 
-__all__ = [
-    "BundleRecord",
-    "ExplorerConfig",
-    "ExplorerService",
-    "TransactionRecord",
-    "bundle_record_from_json",
-    "bundle_record_to_json",
-    "transaction_record_from_json",
-    "transaction_record_to_json",
-]
+#: Public name -> the submodule defining it, imported on first use.
+_EXPORTS = {
+    "BundleRecord": "models",
+    "ExplorerConfig": "service",
+    "ExplorerService": "service",
+    "TransactionRecord": "models",
+    "bundle_record_from_json": "wire",
+    "bundle_record_to_json": "wire",
+    "transaction_record_from_json": "wire",
+    "transaction_record_to_json": "wire",
+}
+
+__all__ = list(_EXPORTS)
+
+
+def __getattr__(name: str):
+    """Import the submodule that defines ``name`` on first access (PEP 562)."""
+    try:
+        submodule = _EXPORTS[name]
+    except KeyError:
+        raise AttributeError(
+            f"module {__name__!r} has no attribute {name!r}"
+        ) from None
+    value = getattr(importlib.import_module(f"{__name__}.{submodule}"), name)
+    globals()[name] = value
+    return value

@@ -101,20 +101,23 @@ class ExplorerHttpServer:
         try:
             request = await read_request(reader)
             if request is None:
-                return
-            method, target, headers, body = request
-            head_only = method == "HEAD"
-            peer = writer.get_extra_info("peername") or ("unknown",)
-            client_id = headers.get("x-client-id", str(peer[0]))
-            status, payload, headers = self._dispatch(
-                method, target, body, client_id
-            )
+                status, payload, headers = 400, {"error": "malformed request"}, {}
+            else:
+                method, target, headers, body = request
+                head_only = method == "HEAD"
+                peer = writer.get_extra_info("peername") or ("unknown",)
+                client_id = headers.get("x-client-id", str(peer[0]))
+                status, payload, headers = self._dispatch(
+                    method, target, body, client_id
+                )
         except Exception as exc:  # noqa: BLE001 - server must not crash
             status, payload, headers = 500, {"error": f"internal error: {exc}"}, {}
         try:
             await write_response(
                 writer, status, payload, headers, head_only=head_only
             )
+        except ConnectionError:
+            pass  # the client hung up before the answer was written
         finally:
             writer.close()
             try:

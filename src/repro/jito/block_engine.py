@@ -125,13 +125,15 @@ class BlockEngine:
             unix_timestamp=timestamp,
         )
 
+        # Ids of every transaction executed in this block so far.
+        block_tx_ids: set[str] = set()
         if leader.runs_jito:
-            self._land_bundles(block, timestamp)
+            self._land_bundles(block, timestamp, block_tx_ids)
         else:
             self.stats.bundles_deferred += self._relayer.pending_bundle_count()
 
         for tx in self._relayer.mempool.drain():
-            if self._already_landed(tx.transaction_id, block):
+            if self._already_landed(tx.transaction_id, block_tx_ids):
                 # Replay protection: a transaction lands exactly once. A
                 # victim consumed by a sandwich bundle earlier in this very
                 # block is the common case.
@@ -140,6 +142,7 @@ class BlockEngine:
             receipt = self._bank.execute_transaction(tx)
             if receipt.success:
                 block.transactions.append(ExecutedTransaction(tx, receipt))
+                block_tx_ids.add(receipt.transaction_id)
                 self.stats.native_landed += 1
             else:
                 self.stats.native_dropped += 1
@@ -148,24 +151,22 @@ class BlockEngine:
         self.stats.blocks_produced += 1
         return block
 
-    def _already_landed(self, tx_id: str, block: Block) -> bool:
-        if self._ledger.get_transaction(tx_id) is not None:
-            return True
-        return any(
-            executed.receipt.transaction_id == tx_id
-            for executed in block.transactions
+    def _already_landed(self, tx_id: str, block_tx_ids: set[str]) -> bool:
+        return (
+            tx_id in block_tx_ids
+            or self._ledger.get_transaction(tx_id) is not None
         )
 
-    def _land_bundles(self, block: Block, timestamp: float) -> None:
+    def _land_bundles(
+        self, block: Block, timestamp: float, block_tx_ids: set[str]
+    ) -> None:
         queued = self._relayer.take_bundles()
         # Tip-ordered auction: highest tip lands first; ties by submit time.
         queued.sort(key=lambda item: (-item[0].tip_lamports, item[1]))
         landed_tips: list[int] = []
-        block_tx_ids: set[str] = set()
         for bundle, submitted_at in queued:
             if any(
-                tx_id in block_tx_ids
-                or self._ledger.get_transaction(tx_id) is not None
+                self._already_landed(tx_id, block_tx_ids)
                 for tx_id in bundle.transaction_ids
             ):
                 # Replay protection: the bundle contains a transaction that

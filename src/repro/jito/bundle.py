@@ -26,6 +26,13 @@ class Bundle:
 
     transactions: tuple[Transaction, ...]
     bundle_id: str = field(init=False)
+    #: Total lamports the bundle pays to Jito tip accounts. Fixed by the
+    #: (frozen) transactions, so it is parsed once here rather than on
+    #: every read by the block engine's auction sort.
+    tip_lamports: int = field(init=False, compare=False)
+    _transaction_ids: tuple[str, ...] = field(
+        init=False, repr=False, compare=False
+    )
 
     def __post_init__(self) -> None:
         if not self.transactions:
@@ -35,7 +42,7 @@ class Bundle:
                 f"bundles hold at most {MAX_BUNDLE_SIZE} transactions, "
                 f"got {len(self.transactions)}"
             )
-        tx_ids = [tx.transaction_id for tx in self.transactions]
+        tx_ids = tuple(tx.transaction_id for tx in self.transactions)
         if len(set(tx_ids)) != len(tx_ids):
             raise DuplicateTransactionError(
                 "a transaction appears twice in the bundle"
@@ -44,6 +51,12 @@ class Bundle:
         for tx_id in tx_ids:
             digest.update(tx_id.encode())
         object.__setattr__(self, "bundle_id", digest.hexdigest())
+        object.__setattr__(self, "_transaction_ids", tx_ids)
+        object.__setattr__(
+            self,
+            "tip_lamports",
+            sum(extract_tip_lamports(tx) for tx in self.transactions),
+        )
 
     @classmethod
     def of(cls, *transactions: Transaction) -> "Bundle":
@@ -56,12 +69,7 @@ class Bundle:
     @property
     def transaction_ids(self) -> list[str]:
         """Member transaction ids, in bundle order."""
-        return [tx.transaction_id for tx in self.transactions]
-
-    @property
-    def tip_lamports(self) -> int:
-        """Total lamports the bundle pays to Jito tip accounts."""
-        return sum(extract_tip_lamports(tx) for tx in self.transactions)
+        return list(self._transaction_ids)
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return (

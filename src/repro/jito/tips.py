@@ -1,5 +1,6 @@
-"""Jito tips: canonical tip accounts, tip construction and extraction,
-and the block-level tip-percentile tracker.
+"""Jito tips: tip construction and extraction, and the block-level
+tip-percentile tracker. The canonical tip accounts live in
+:mod:`repro.jito.tip_identity` and are re-exported here.
 
 Tips are plain lamport transfers to one of eight well-known accounts; the
 block engine uses them as the bundle-auction currency, and the paper uses
@@ -11,7 +12,6 @@ priority-seeking ones, and to characterize attack bundles (median tip above
 from __future__ import annotations
 
 import json
-from functools import lru_cache
 
 from repro.constants import (
     HIGH_TIP_P95_LAMPORTS,
@@ -19,6 +19,7 @@ from repro.constants import (
     NUM_JITO_TIP_ACCOUNTS,
 )
 from repro.errors import BundleError
+from repro.jito.tip_identity import is_tip_account, tip_accounts
 from repro.solana.instruction import (
     COMPUTE_BUDGET_PROGRAM_ID,
     SYSTEM_PROGRAM_ID,
@@ -28,26 +29,6 @@ from repro.solana.keys import Pubkey
 from repro.solana.system_program import transfer
 from repro.solana.transaction import Transaction
 from repro.utils.stats import percentile
-
-
-@lru_cache(maxsize=1)
-def tip_accounts() -> tuple[Pubkey, ...]:
-    """The eight canonical Jito tip-payment accounts."""
-    return tuple(
-        Pubkey.from_seed(f"jito-tip-account:{index}")
-        for index in range(NUM_JITO_TIP_ACCOUNTS)
-    )
-
-
-@lru_cache(maxsize=1)
-def _tip_account_set() -> frozenset[str]:
-    return frozenset(account.to_base58() for account in tip_accounts())
-
-
-def is_tip_account(pubkey: Pubkey | str) -> bool:
-    """Whether ``pubkey`` is one of the canonical tip accounts."""
-    encoded = pubkey if isinstance(pubkey, str) else pubkey.to_base58()
-    return encoded in _tip_account_set()
 
 
 def build_tip_instruction(

@@ -13,9 +13,9 @@ from __future__ import annotations
 import asyncio
 import json
 
-#: Request head larger than this is dropped without a response.
+#: Request head larger than this is answered 400.
 MAX_HEADER_BYTES = 64 * 1024
-#: Bodies larger than this are dropped without a response.
+#: Bodies larger than this are answered 400.
 MAX_BODY_BYTES = 16 * 1024 * 1024
 
 STATUS_TEXT = {
@@ -71,7 +71,7 @@ def encode_payload(payload) -> tuple[bytes, str]:
 async def read_request(
     reader: asyncio.StreamReader,
 ) -> tuple[str, str, dict[str, str], bytes] | None:
-    """Parse one request; None on framing errors (connection is dropped).
+    """Parse one request; None on framing errors (the server answers 400).
 
     Header names come back lower-cased; the method upper-cased. The body is
     read to exactly ``Content-Length`` bytes.

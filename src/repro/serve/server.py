@@ -70,20 +70,23 @@ class ApiHttpServer:
         try:
             request = await read_request(reader)
             if request is None:
-                return
-            method, target, headers, _body = request
-            head_only = method == "HEAD"
-            peer = writer.get_extra_info("peername") or ("unknown",)
-            client_id = headers.get("x-client-id", str(peer[0]))
-            status, payload, extra = self._app.handle(
-                method, target, headers, client_id
-            )
+                status, payload, extra = 400, {"error": "malformed request"}, {}
+            else:
+                method, target, headers, _body = request
+                head_only = method == "HEAD"
+                peer = writer.get_extra_info("peername") or ("unknown",)
+                client_id = headers.get("x-client-id", str(peer[0]))
+                status, payload, extra = self._app.handle(
+                    method, target, headers, client_id
+                )
         except Exception as exc:  # noqa: BLE001 - server must not crash
             status, payload, extra = 500, {"error": f"internal error: {exc}"}, {}
         try:
             await write_response(
                 writer, status, payload, extra, head_only=head_only
             )
+        except ConnectionError:
+            pass  # the client hung up before the answer was written
         finally:
             writer.close()
             try:

@@ -7,30 +7,38 @@ fees, 400 ms slots with a stake-weighted leader schedule, and per-transaction
 balance-change receipts (the raw material for sandwich detection).
 """
 
-from repro.solana.accounts import Account
-from repro.solana.bank import Bank, TransactionReceipt
-from repro.solana.blocks import Block
-from repro.solana.instruction import AccountMeta, Instruction
-from repro.solana.keys import Keypair, Pubkey, Signature
-from repro.solana.ledger import Ledger
-from repro.solana.leader_schedule import LeaderSchedule, Validator
-from repro.solana.tokens import Mint
-from repro.solana.transaction import Message, Transaction
+import importlib
 
-__all__ = [
-    "Account",
-    "AccountMeta",
-    "Bank",
-    "Block",
-    "Instruction",
-    "Keypair",
-    "LeaderSchedule",
-    "Ledger",
-    "Message",
-    "Mint",
-    "Pubkey",
-    "Signature",
-    "Transaction",
-    "TransactionReceipt",
-    "Validator",
-]
+#: Public name -> the submodule defining it, imported on first use.
+_EXPORTS = {
+    "Account": "accounts",
+    "AccountMeta": "instruction",
+    "Bank": "bank",
+    "Block": "blocks",
+    "Instruction": "instruction",
+    "Keypair": "keys",
+    "LeaderSchedule": "leader_schedule",
+    "Ledger": "ledger",
+    "Message": "transaction",
+    "Mint": "tokens",
+    "Pubkey": "keys",
+    "Signature": "keys",
+    "Transaction": "transaction",
+    "TransactionReceipt": "bank",
+    "Validator": "leader_schedule",
+}
+
+__all__ = list(_EXPORTS)
+
+
+def __getattr__(name: str):
+    """Import the submodule that defines ``name`` on first access (PEP 562)."""
+    try:
+        submodule = _EXPORTS[name]
+    except KeyError:
+        raise AttributeError(
+            f"module {__name__!r} has no attribute {name!r}"
+        ) from None
+    value = getattr(importlib.import_module(f"{__name__}.{submodule}"), name)
+    globals()[name] = value
+    return value

@@ -1,5 +1,7 @@
 """Coverage estimator tests: the successive-overlap statistic."""
 
+import random
+
 from repro.collector.coverage import CoverageEstimator
 
 
@@ -65,3 +67,33 @@ class TestFailures:
         coverage.observe_success(2.0, ["b"], 1)
         assert coverage.successful_polls == 2
         assert coverage.failed_polls == 1
+
+
+class TestRunningOverlapCount:
+    @staticmethod
+    def observed(seed: int) -> CoverageEstimator:
+        """A long mixed history of overlaps, misses, empties and failures."""
+        rng = random.Random(seed)
+        coverage = CoverageEstimator()
+        for index in range(400):
+            if rng.random() < 0.05:
+                coverage.observe_failure(float(index))
+                continue
+            ids = [f"b{rng.randrange(40)}" for _ in range(rng.randrange(4))]
+            coverage.observe_success(float(index), ids, len(ids))
+        return coverage
+
+    def test_fraction_matches_a_rescan_of_every_pair(self):
+        coverage = self.observed(seed=3)
+        rescan = sum(p.overlapped for p in coverage.pairs) / len(coverage.pairs)
+        assert 0.0 < rescan < 1.0
+        assert coverage.overlap_fraction() == rescan
+
+    def test_restore_rebuilds_the_count(self):
+        original = self.observed(seed=5)
+        resumed = CoverageEstimator()
+        resumed.restore_state(original.state())
+        assert resumed.overlap_fraction() == original.overlap_fraction()
+        resumed.observe_success(1e6, ["fresh"], 1)
+        original.observe_success(1e6, ["fresh"], 1)
+        assert resumed.overlap_fraction() == original.overlap_fraction()

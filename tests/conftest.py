@@ -6,6 +6,9 @@ mutate them. Cheap fixtures build fresh worlds per test.
 
 from __future__ import annotations
 
+import socket
+import time
+
 import pytest
 
 from repro.collector import MeasurementCampaign
@@ -16,6 +19,43 @@ from repro.simulation.config import TrendSpec
 from repro.simulation.downtime import DowntimeSchedule, DowntimeWindow
 from repro.solana.bank import Bank
 from repro.solana.keys import Keypair
+
+
+#: Seconds within which an HTTP server must answer a raw request and close.
+EOF_DEADLINE_S = 0.5
+
+
+def raw_exchange(port: int, payload: bytes, read: bool = True) -> bytes:
+    """Send raw bytes on a fresh connection; return all bytes up to EOF.
+
+    Fails the test when the server has not closed the connection within
+    :data:`EOF_DEADLINE_S`: malformed input must get a prompt answer, not
+    a socket left open until the client gives up.
+    """
+    with socket.create_connection(("127.0.0.1", port), timeout=5) as conn:
+        if payload:
+            conn.sendall(payload)
+        if not read:
+            return b""
+        chunks = bytearray()
+        deadline = time.monotonic() + EOF_DEADLINE_S
+        while True:
+            conn.settimeout(max(deadline - time.monotonic(), 0.001))
+            try:
+                chunk = conn.recv(65536)
+            except socket.timeout:
+                pytest.fail(
+                    f"connection still open {EOF_DEADLINE_S}s after "
+                    f"{payload[:40]!r}"
+                )
+            if not chunk:
+                return bytes(chunks)
+            chunks.extend(chunk)
+
+
+def status_of(response: bytes) -> bytes:
+    """The status code of a raw HTTP response, e.g. ``b"400"``."""
+    return response.split(b"\r\n", 1)[0].split(b" ")[1]
 
 
 def tiny_scenario(seed: int = 11) -> ScenarioConfig:

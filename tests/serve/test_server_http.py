@@ -4,7 +4,7 @@ Covers the serving tier's externally visible contracts: pagination
 correctness against direct queries, conditional GETs (ETag/304), the
 cache-invalidation acceptance criterion (an ``IncrementalAnalyzer`` pass
 mid-session makes fresh data visible immediately), rate limiting, HEAD
-semantics, and the metrics endpoint.
+semantics, the metrics endpoint, and a prompt 400 for malformed requests.
 """
 
 import json
@@ -20,6 +20,7 @@ from repro.conformance.scenarios import (
     write_archive,
 )
 from repro.serve import ApiConfig, ArchiveApiApp, ThreadedApiServer
+from tests.conftest import raw_exchange, status_of
 from tests.serve.conftest import http_json, http_request
 
 
@@ -35,6 +36,31 @@ def server(corpus_archive):
     )
     with ThreadedApiServer(app) as srv:
         yield srv
+
+
+#: Requests the framing layer rejects before any route sees them.
+MALFORMED_REQUESTS = {
+    "garbage": b"\x00\x01\x02\r\n\r\n",
+    "no-version": b"GET /v1/status\r\n\r\n",
+    "negative-length": b"GET /v1/status HTTP/1.1\r\nContent-Length: -5\r\n\r\n",
+    "huge-length": (
+        b"GET /v1/status HTTP/1.1\r\nContent-Length: 999999999999\r\n\r\n"
+    ),
+    "text-length": b"GET /v1/status HTTP/1.1\r\nContent-Length: x\r\n\r\n",
+}
+
+
+class TestHostileInputs:
+    @pytest.mark.parametrize(
+        "payload", MALFORMED_REQUESTS.values(), ids=MALFORMED_REQUESTS.keys()
+    )
+    def test_malformed_request_gets_400_and_close(self, server, payload):
+        assert status_of(raw_exchange(server.port, payload)) == b"400"
+        assert http_json(server.port, "/v1/status")["status"]
+
+    def test_connect_and_hang_up(self, server):
+        raw_exchange(server.port, b"", read=False)
+        assert http_json(server.port, "/v1/status")["status"]
 
 
 class TestEndpoints:
