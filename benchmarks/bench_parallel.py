@@ -15,14 +15,7 @@ default 50,000 — CI's perf-smoke job shrinks it), then:
   smaller hosts the gate is skipped and the skip is annotated in the
   record itself ("cpu_count < jobs"), so a 1-CPU runner's multi-job
   numbers read as noise, not regressions;
-- benchmarks the columnar engine (when numpy is importable): the
-  detection core — criteria evaluation plus quantification over a
-  preloaded working set — on a candidate-dense archive, asserting the
-  >= 10x single-core speedup over the object core on full-size runs, and
-  the pipelined end-to-end throughput on the mixed archive, asserting
-  byte identity against the serial report always and the >= 3x
-  end-to-end speedup over the serial object pipeline on full-size runs,
-  with the engine's stage profile persisted alongside the number.
+- records the serial detector and quantifier throughput on their own.
 """
 
 from __future__ import annotations
@@ -46,15 +39,6 @@ from repro.parallel import ParallelAnalysisEngine
 TOTAL_BUNDLES = int(os.environ.get("BENCH_PARALLEL_BUNDLES", "50000"))
 #: Below this size, pool startup dominates and a speedup claim is noise.
 SPEEDUP_FLOOR_BUNDLES = 20_000
-#: The detection-core archive is smaller — every bundle is a length-3
-#: candidate, so the criteria path sees 8x the work per bundle.
-CORE_BUNDLES = max(1_000, TOTAL_BUNDLES // 8)
-#: The columnar acceptance bar: vectorized criteria evaluation plus
-#: quantification must clear 10x the object core, single-core.
-COLUMNAR_CORE_FLOOR = 10.0
-#: The pipelined read path's acceptance bar: columnar end-to-end must
-#: clear 3x the serial object pipeline on full-size runs, single-core.
-COLUMNAR_E2E_FLOOR = 3.0
 BASE_TIME = 1_739_059_200.0
 
 
@@ -271,205 +255,3 @@ def test_detect_and_quantify_throughput(big_archive):
         sandwiches=len(quantified),
     )
     store.database.close()
-
-
-def _candidate_rows(total: int):
-    """Yield length-3 candidate bundles: every 20th a sandwich, the rest
-    benign triples. Candidate-dense (every bundle walks the five
-    criteria) but detection-sparse (5%), matching the measured archives'
-    skew — the representative workload for the detection core."""
-    for i in range(total):
-        landed = BASE_TIME + (i // 10) * 0.4
-        if i % 20 == 0:
-            records = [
-                _swap(f"c{i}f", f"catk{i}", "SOL", "MEME", 1_000, 1_000_000),
-                _swap(f"c{i}v", f"cvic{i}", "SOL", "MEME", 10_000, 9_000_000),
-                _swap(f"c{i}b", f"catk{i}", "MEME", "SOL", 1_000_000, 1_100),
-            ]
-            tip = 2_000_000
-        else:
-            records = [
-                _swap(f"c{i}x{j}", f"cu{i}x{j}", "SOL", "OTHER", 500, 400_000)
-                for j in range(3)
-            ]
-            tip = 50_000
-        yield (
-            BundleRecord(
-                bundle_id=f"core{i}",
-                slot=1_000 + i,
-                landed_at=landed,
-                tip_lamports=tip,
-                transaction_ids=tuple(r.transaction_id for r in records),
-            ),
-            records,
-        )
-
-
-@pytest.fixture(scope="module")
-def candidate_archive(tmp_path_factory):
-    """One all-candidates archive for the detection-core benchmarks."""
-    path = tmp_path_factory.mktemp("bench-core") / "candidates.db"
-    store = ArchiveBundleStore(path)
-    bundles, details = [], []
-    for bundle, records in _candidate_rows(CORE_BUNDLES):
-        bundles.append(bundle)
-        details.extend(records)
-        if len(bundles) >= 5_000:
-            store.add_bundles(bundles)
-            store.add_details(details)
-            bundles, details = [], []
-    store.add_bundles(bundles)
-    store.add_details(details)
-    store.flush()
-    store.database.close()
-    return path
-
-
-def _single_chunk_task(path, engine):
-    """A one-chunk task covering the whole archive, plus its connection."""
-    from repro.archive.database import ArchiveDatabase
-    from repro.archive.query import ArchiveQuery
-    from repro.parallel.chunks import ChunkTask, DetectorSpec
-
-    database = ArchiveDatabase(path, read_only=True)
-    chunk = next(ArchiveQuery(database).iter_chunks(chunk_size=10**9))
-    task = ChunkTask(
-        index=0,
-        archive_path=str(path),
-        spec=DetectorSpec(usd_per_sol=150.0),
-        chunk=chunk,
-        engine=engine,
-    )
-    return database, task
-
-
-def test_columnar_detect_core_speedup(candidate_archive):
-    """The >= 10x acceptance gate: both detection cores run over a
-    preloaded working set — load/extraction excluded on both sides, so
-    the comparison is criteria evaluation + quantification against
-    criteria evaluation + quantification."""
-    pytest.importorskip("numpy")
-    from repro.columnar.blocks import (
-        load_bundle_block,
-        load_tx_features,
-        split_candidates,
-    )
-    from repro.columnar.criteria import evaluate_block
-    from repro.columnar.quantify import quantify_block
-    from repro.archive.query import ArchiveQuery
-    from repro.core.criteria import view_cache_clear
-    from repro.parallel.worker import _load_mini_store
-
-    # Object core: working set preloaded, caches cold.
-    database, task = _single_chunk_task(candidate_archive, "object")
-    mini = _load_mini_store(database, task)
-    detector = task.spec.build_detector()
-    view_cache_clear()
-    started = time.perf_counter()
-    events = detector.detect_all(mini)
-    object_quantified = LossQuantifier(PriceOracle(150.0)).quantify_all(
-        events
-    )
-    object_s = time.perf_counter() - started
-    database.close()
-
-    # Columnar core: block loaded and prepared, then pure vector work.
-    database, task = _single_chunk_task(candidate_archive, "columnar")
-    query = ArchiveQuery(database)
-    block = load_bundle_block(query, task.chunk.seq_lo, task.chunk.seq_hi)
-    candidate_indexes = [
-        index for index, length in enumerate(block.lengths) if length == 3
-    ]
-    member_ids, edge_ids = [], []
-    for index in candidate_indexes:
-        members = block.transaction_ids(index)
-        member_ids.extend(members)
-        edge_ids.extend((members[0], members[2]))
-    features = load_tx_features(query, member_ids, edge_ids)
-    candidates, _, _ = split_candidates(
-        block, features, candidate_indexes
-    )
-    candidates.prepare()
-    started = time.perf_counter()
-    verdicts = evaluate_block(candidates)
-    landed = candidates.landed_column()
-    order = sorted(verdicts.detected_indexes, key=lambda i: landed[i])
-    columnar_quantified = quantify_block(
-        candidates, order, usd_per_sol=150.0
-    )
-    columnar_s = time.perf_counter() - started
-    database.close()
-
-    assert columnar_quantified == object_quantified  # full-value parity
-    assert len(columnar_quantified) == len(range(0, CORE_BUNDLES, 20))
-    speedup = object_s / columnar_s
-    record_perf(
-        "detect_core_object", CORE_BUNDLES, object_s, jobs=1
-    )
-    record_perf(
-        "detect_core_columnar",
-        CORE_BUNDLES,
-        columnar_s,
-        engine="columnar",
-        jobs=1,
-        speedup_vs_object=round(speedup, 2),
-    )
-    if TOTAL_BUNDLES >= SPEEDUP_FLOOR_BUNDLES:
-        assert speedup >= COLUMNAR_CORE_FLOOR, (
-            f"expected >= {COLUMNAR_CORE_FLOOR}x single-core detection "
-            f"speedup, measured {speedup:.2f}x"
-        )
-
-
-def test_columnar_end_to_end_byte_identical_and_throughput(big_archive):
-    """End-to-end columnar numbers on the mixed archive: byte identity
-    against both the object engine and the serial pipeline is the hard
-    requirement, and on full-size runs the pipelined read path (coalesced
-    projections + prefetch) must clear ``COLUMNAR_E2E_FLOOR`` x the
-    serial object pipeline. Both sides of the gated ratio are measured
-    the same way — collector paused, best of N fresh runs, back to back
-    in this test — so the gate compares code, not suite-position noise;
-    the engine's stage profile (from the best run) is persisted into the
-    record for the "where the time goes" trend."""
-    pytest.importorskip("numpy")
-
-    serial_report, serial_s = _timed_serial(big_archive, repeats=2)
-    object_report, object_s = _timed_engine(big_archive, jobs=1)
-    columnar_s = None
-    for _ in range(3):
-        engine = ParallelAnalysisEngine(
-            big_archive, jobs=1, chunk_size=2_048, engine="columnar"
-        )
-        with _gc_paused():
-            started = time.perf_counter()
-            columnar_report = engine.analyze(persist=False)
-            elapsed = time.perf_counter() - started
-        engine.database.close()
-        if columnar_s is None or elapsed < columnar_s:
-            columnar_s = elapsed
-            stage_profile = engine.stage_profile.as_dict()
-            prefetch = engine.prefetch
-    ensure_reports_identical(
-        object_report, columnar_report, "object", "columnar", mode="exact"
-    )
-    ensure_reports_identical(
-        serial_report, columnar_report, "serial", "columnar", mode="exact"
-    )
-    speedup_vs_serial = serial_s / columnar_s
-    record_perf(
-        "analyze_end_to_end_columnar",
-        TOTAL_BUNDLES,
-        columnar_s,
-        engine="columnar",
-        jobs=1,
-        prefetch=prefetch,
-        speedup_vs_object=round(object_s / columnar_s, 3),
-        speedup_vs_serial=round(speedup_vs_serial, 3),
-        stage_profile=stage_profile,
-    )
-    if TOTAL_BUNDLES >= SPEEDUP_FLOOR_BUNDLES:
-        assert speedup_vs_serial >= COLUMNAR_E2E_FLOOR, (
-            f"expected >= {COLUMNAR_E2E_FLOOR}x end-to-end columnar "
-            f"speedup over the serial pipeline on a full-size archive, "
-            f"measured {speedup_vs_serial:.2f}x"
-        )

@@ -126,62 +126,6 @@ def test_detector_throughput(benchmark):
     assert result is not None
 
 
-def test_columnar_criteria_throughput(benchmark):
-    """The vectorized five-criteria pass over a prepared 512-candidate
-    block — the columnar detection core's hot loop, per whole-block call
-    (compare with :func:`test_detector_throughput`, which is per bundle).
-    """
-    pytest.importorskip("numpy")
-    from repro.columnar.blocks import (
-        BundleBlock,
-        CandidateBlock,
-        _features_from_parts,
-    )
-    from repro.columnar.criteria import evaluate_block
-
-    def features_of(record):
-        events = [
-            (
-                e["type"],
-                e["owner"],
-                e["pool"],
-                e["mint_in"],
-                e["mint_out"],
-                e["amount_in"],
-                e["amount_out"],
-                None,
-            )
-            for e in record.events
-        ]
-        deltas = [
-            (owner, mint, value)
-            for owner, per_mint in record.token_deltas.items()
-            for mint, value in per_mint.items()
-        ]
-        return _features_from_parts(record.signer, events, deltas)
-
-    records = [
-        _swap_record("t1", "A", "SOL", "MEME", 1_000, 1_000_000),
-        _swap_record("t2", "B", "SOL", "MEME", 10_000, 9_000_000),
-        _swap_record("t3", "A", "MEME", "SOL", 1_000_000, 1_100),
-    ]
-    triple = tuple(features_of(record) for record in records)
-    bundle = BundleRecord(
-        bundle_id="bench-bundle",
-        slot=1,
-        landed_at=0.0,
-        tip_lamports=2_000_000,
-        transaction_ids=("t1", "t2", "t3"),
-    )
-    count = 512
-    block = BundleBlock.from_records([bundle] * count)
-    candidates = CandidateBlock(
-        block=block, indexes=list(range(count)), features=[triple] * count
-    ).prepare()
-    verdicts = benchmark(evaluate_block, candidates)
-    assert len(verdicts.detected_indexes) == count
-
-
 def test_base58_round_trip(benchmark):
     data = bytes(range(32))
 

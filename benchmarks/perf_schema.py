@@ -20,22 +20,20 @@ SCHEMA_V2 = "bench-perf/2"
 CURRENT_SCHEMA = SCHEMA_V2
 
 
-def _guess_engine(name: str) -> str:
-    """Engine attribution for a v1 record, inferred from its name."""
-    return "columnar" if "columnar" in name else "object"
-
-
 def upgrade_v1(payload: dict) -> dict:
     """Normalize a ``bench-perf/1`` payload to the v2 shape in place-free
     form: the top-level ``cpu_count`` is copied onto every record and
     engines are inferred from record names (v1 predates mixed-engine
-    records, so the name is authoritative)."""
+    records, so the name is authoritative; ``columnar`` names belong to
+    the since-deleted columnar engine)."""
     cpu_count = payload.get("cpu_count")
     records = {}
     for name, record in payload.get("records", {}).items():
         upgraded = dict(record)
         upgraded.setdefault("cpu_count", cpu_count)
-        upgraded.setdefault("engine", _guess_engine(name))
+        upgraded.setdefault(
+            "engine", "columnar" if "columnar" in name else "object"
+        )
         records[name] = upgraded
     return {
         "schema": SCHEMA_V2,

@@ -82,15 +82,10 @@ class IncrementalAnalyzer:
         jobs: int = 1,
         chunk_size: int = 2_048,
         spec: DetectorSpec | None = None,
-        engine: str = "object",
         prefetch: int | None = None,
     ) -> None:
         if jobs < 1:
             raise ConfigError(f"jobs must be >= 1, got {jobs}")
-        if engine not in {"object", "columnar"}:
-            raise ConfigError(
-                f"engine must be object or columnar, got {engine!r}"
-            )
         self.database = database
         self.consumer = consumer
         self.oracle = oracle or PriceOracle()
@@ -104,7 +99,6 @@ class IncrementalAnalyzer:
         self.jobs = jobs
         self.chunk_size = chunk_size
         self.spec = spec
-        self.engine = engine
         self.prefetch = prefetch
         self.quantifier = LossQuantifier(self.oracle)
         self.query = ArchiveQuery(database, metrics=metrics)
@@ -255,7 +249,6 @@ class IncrementalAnalyzer:
             spec=spec,
             oracle=self.oracle,
             metrics=self.metrics,
-            engine=self.engine,
             **engine_kwargs,
         )
         last_seq = int(state["last_bundle_seq"])
@@ -273,7 +266,6 @@ class IncrementalAnalyzer:
                     archive_path=str(self.database.path),
                     spec=engine.spec,
                     bundle_ids=pending,
-                    engine=self.engine,
                 )
             )
         tasks.extend(engine.tasks_for_chunks(chunks, first_index=1))
@@ -372,9 +364,7 @@ class IncrementalAnalyzer:
                     ),
                     no_op=True,
                 )
-            if self.jobs > 1 or self.engine == "columnar":
-                # The columnar path always routes through the chunked
-                # delta — at jobs=1 it runs in-process, just vectorized.
+            if self.jobs > 1:
                 delta = self._parallel_delta(state)
             else:
                 delta = self._serial_delta(state)

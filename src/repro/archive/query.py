@@ -15,7 +15,7 @@ from __future__ import annotations
 
 import time
 from dataclasses import dataclass
-from typing import Iterator, Sequence
+from typing import Iterator
 
 from repro.archive.database import ArchiveDatabase
 from repro.archive.schema import (
@@ -161,20 +161,6 @@ class ArchiveChunk:
     count: int
     slot_lo: int
     slot_hi: int
-
-
-#: Ids per ``IN (...)`` batch — comfortably under every SQLite build's
-#: bound-variable limit (999 on the oldest supported builds).
-_IN_BATCH = 900
-
-
-def _in_batches(
-    values: Sequence[str], size: int = _IN_BATCH
-) -> Iterator[Sequence[str]]:
-    """Slice a value list into ``IN``-clause-sized batches."""
-    values = list(values)
-    for start in range(0, len(values), size):
-        yield values[start : start + size]
 
 
 def _order_clause(
@@ -451,224 +437,6 @@ class ArchiveQuery:
         return [
             found[tx_id] for tx_id in bundle.transaction_ids if tx_id in found
         ]
-
-    # --- columnar projections ----------------------------------------------
-    #
-    # The columnar engine (:mod:`repro.columnar`) loads whole chunks through
-    # these projections instead of per-bundle object queries: scalar bundle
-    # columns by ``seq`` range, batched detail lookups, and ``json_each``
-    # decompositions that push event/delta JSON parsing into SQLite's C
-    # parser. All of them return raw row tuples in a documented column
-    # order — the block builders in :mod:`repro.columnar.blocks` transpose
-    # them into struct-of-arrays form without intermediate objects.
-
-    def bundle_columns(self, seq_lo: int, seq_hi: int) -> list:
-        """Scalar bundle columns for one contiguous ``seq`` range.
-
-        Row shape: ``(seq, bundle_id, slot, landed_at, tip_lamports,
-        num_transactions, transaction_ids_json)`` in ``seq`` order — the
-        same working set :func:`repro.parallel.worker.analyze_chunk` loads
-        for a chunk task, minus the per-row JSON parse.
-        """
-        return self._timed(
-            "bundle_columns",
-            "SELECT seq, bundle_id, slot, landed_at, tip_lamports, "
-            "num_transactions, transaction_ids FROM bundles "
-            "WHERE seq >= ? AND seq <= ? ORDER BY seq",
-            [seq_lo, seq_hi],
-        )
-
-    def bundle_columns_for_ids(self, bundle_ids: Sequence[str]) -> list:
-        """Scalar bundle columns for an explicit id worklist.
-
-        Same row shape as :meth:`bundle_columns`. Rows come back in
-        arbitrary order and missing ids produce no row — callers reorder
-        against the worklist (the incremental analyzer's stored pending
-        order) themselves.
-        """
-        rows: list = []
-        for batch in _in_batches(bundle_ids):
-            rows.extend(
-                self._timed(
-                    "bundle_columns_for_ids",
-                    "SELECT seq, bundle_id, slot, landed_at, tip_lamports, "
-                    "num_transactions, transaction_ids FROM bundles "
-                    f"WHERE bundle_id IN ({','.join('?' * len(batch))})",
-                    list(batch),
-                )
-            )
-        return rows
-
-    def detail_signers(self, tx_ids: Sequence[str]) -> list:
-        """``(transaction_id, signer)`` for every archived id in ``tx_ids``.
-
-        Ids with no detail row produce no output row, which is how the
-        columnar loader discovers incomplete (pending) candidates without
-        materializing any :class:`TransactionRecord`.
-        """
-        rows: list = []
-        for batch in _in_batches(tx_ids):
-            rows.extend(
-                self._timed(
-                    "detail_signers",
-                    "SELECT transaction_id, signer FROM transactions "
-                    f"WHERE transaction_id IN ({','.join('?' * len(batch))})",
-                    list(batch),
-                )
-            )
-        return rows
-
-    def event_columns(self, tx_ids: Sequence[str]) -> list:
-        """Flattened event rows for the given transactions, via ``json_each``.
-
-        Row shape: ``(transaction_id, ordinal, type, owner, pool, mint_in,
-        mint_out, amount_in, amount_out, dest)`` — one row per event, typed
-        by SQLite (JSON ints surface as INTEGER while they fit in 64 bits;
-        see :func:`repro.columnar.blocks.load_tx_features` for the
-        precision fallback beyond that).
-        """
-        rows: list = []
-        for batch in _in_batches(tx_ids):
-            rows.extend(
-                self._timed(
-                    "event_columns",
-                    "SELECT t.transaction_id, je.key, "
-                    "je.value ->> '$.type', je.value ->> '$.owner', "
-                    "je.value ->> '$.pool', je.value ->> '$.mint_in', "
-                    "je.value ->> '$.mint_out', je.value ->> '$.amount_in', "
-                    "je.value ->> '$.amount_out', je.value ->> '$.dest' "
-                    "FROM transactions t, json_each(t.events) je "
-                    f"WHERE t.transaction_id IN ({','.join('?' * len(batch))})",
-                    list(batch),
-                )
-            )
-        return rows
-
-    def token_delta_columns(self, tx_ids: Sequence[str]) -> list:
-        """Long-form token deltas: ``(transaction_id, owner, mint, delta)``.
-
-        Two nested ``json_each`` calls unroll the ``owner -> mint -> delta``
-        mapping into one row per (owner, mint) pair, keeping the JSON walk
-        in C. Row order within a transaction follows JSON storage order,
-        which is the object path's dict iteration order.
-        """
-        rows: list = []
-        for batch in _in_batches(tx_ids):
-            rows.extend(
-                self._timed(
-                    "token_delta_columns",
-                    "SELECT t.transaction_id, o.key, m.key, m.value "
-                    "FROM transactions t, json_each(t.token_deltas) o, "
-                    "json_each(o.value) m "
-                    f"WHERE t.transaction_id IN ({','.join('?' * len(batch))})",
-                    list(batch),
-                )
-            )
-        return rows
-
-    # The ``candidate_*`` projections below coalesce a chunk's detail
-    # lookups into one round-trip each: instead of parsing every bundle's
-    # ``transaction_ids`` JSON in Python and shipping thousands of ids
-    # back through ``IN (...)`` batches, the membership join runs inside
-    # SQLite. Their SQL text is constant (no per-batch placeholder lists),
-    # so the connection's prepared-statement cache compiles each of them
-    # exactly once per worker for the whole run.
-
-    def candidate_members(
-        self, seq_lo: int, seq_hi: int, length: int = 3
-    ) -> list:
-        """Member rows of candidate bundles in one contiguous ``seq`` range.
-
-        Row shape: ``(seq, position, transaction_id, signer)`` ordered by
-        ``(seq, position)`` — bundle order, then member order. ``signer``
-        is NULL for members whose detail was never fetched, which is how
-        the columnar loader discovers pending candidates without a second
-        query.
-        """
-        return self._timed(
-            "candidate_members",
-            "SELECT b.seq, m.position, m.transaction_id, t.signer "
-            "FROM bundles b "
-            "JOIN bundle_transactions m ON m.bundle_id = b.bundle_id "
-            "LEFT JOIN transactions t "
-            "ON t.transaction_id = m.transaction_id "
-            "WHERE b.seq >= ? AND b.seq <= ? AND b.num_transactions = ? "
-            "ORDER BY b.seq, m.position",
-            [seq_lo, seq_hi, length],
-        )
-
-    def candidate_event_columns(
-        self, seq_lo: int, seq_hi: int, length: int = 3
-    ) -> list:
-        """Flattened event rows for every member of candidate bundles.
-
-        Same row shape as :meth:`event_columns`, selected by a membership
-        semijoin instead of an id list (the ``IN`` subquery deduplicates
-        transactions shared between bundles, exactly as the Python-side
-        ``dict.fromkeys`` pass did).
-        """
-        return self._timed(
-            "candidate_event_columns",
-            "SELECT t.transaction_id, je.key, "
-            "je.value ->> '$.type', je.value ->> '$.owner', "
-            "je.value ->> '$.pool', je.value ->> '$.mint_in', "
-            "je.value ->> '$.mint_out', je.value ->> '$.amount_in', "
-            "je.value ->> '$.amount_out', je.value ->> '$.dest' "
-            "FROM transactions t, json_each(t.events) je "
-            "WHERE t.transaction_id IN "
-            "(SELECT m.transaction_id FROM bundles b "
-            " JOIN bundle_transactions m ON m.bundle_id = b.bundle_id "
-            " WHERE b.seq >= ? AND b.seq <= ? AND b.num_transactions = ?)",
-            [seq_lo, seq_hi, length],
-        )
-
-    def candidate_token_delta_columns(
-        self,
-        seq_lo: int,
-        seq_hi: int,
-        length: int = 3,
-        positions: tuple[int, int] = (0, 2),
-    ) -> list:
-        """Long-form token deltas for the edge members of candidates.
-
-        Same row shape as :meth:`token_delta_columns`, restricted to the
-        bundle positions quantification reads (the attacker-side front and
-        back transactions by default).
-        """
-        return self._timed(
-            "candidate_token_delta_columns",
-            "SELECT t.transaction_id, o.key, m.key, m.value "
-            "FROM transactions t, json_each(t.token_deltas) o, "
-            "json_each(o.value) m "
-            "WHERE t.transaction_id IN "
-            "(SELECT bm.transaction_id FROM bundles b "
-            " JOIN bundle_transactions bm ON bm.bundle_id = b.bundle_id "
-            " WHERE b.seq >= ? AND b.seq <= ? AND b.num_transactions = ? "
-            " AND bm.position IN (?, ?))",
-            [seq_lo, seq_hi, length, positions[0], positions[1]],
-        )
-
-    def raw_payloads(self, tx_ids: Sequence[str]) -> list:
-        """``(transaction_id, events_json, token_deltas_json)`` raw text.
-
-        The precision fallback for :meth:`event_columns` /
-        :meth:`token_delta_columns`: SQLite's ``json_each`` degrades JSON
-        integers beyond 64 bits to REAL, so transactions whose extracted
-        numbers look degraded are re-read as text and parsed with Python's
-        arbitrary-precision ``json`` module.
-        """
-        rows: list = []
-        for batch in _in_batches(tx_ids):
-            rows.extend(
-                self._timed(
-                    "raw_payloads",
-                    "SELECT transaction_id, events, token_deltas "
-                    "FROM transactions "
-                    f"WHERE transaction_id IN ({','.join('?' * len(batch))})",
-                    list(batch),
-                )
-            )
-        return rows
 
     # --- sandwiches --------------------------------------------------------
 

@@ -453,7 +453,6 @@ def cmd_analyze(args: argparse.Namespace) -> int:
                 jobs=jobs,
                 chunk_size=args.chunk_size,
                 spec=spec,
-                engine=args.engine,
                 prefetch=args.prefetch,
             )
             outcome = analyzer.analyze()
@@ -484,7 +483,6 @@ def cmd_analyze(args: argparse.Namespace) -> int:
                 jobs=jobs,
                 chunk_size=args.chunk_size,
                 spec=spec,
-                engine=args.engine,
                 **engine_kwargs,
             )
             report = engine.analyze()
@@ -504,12 +502,6 @@ def cmd_analyze(args: argparse.Namespace) -> int:
                 "cli.analyze",
                 "JSONL stores have no chunk cursor; --jobs ignored, "
                 "analyzing serially",
-            )
-        if args.engine != "object":
-            progress.info(
-                "cli.analyze",
-                "JSONL stores have no columnar projections; --engine "
-                "ignored, analyzing with the object pipeline",
             )
         if args.profile:
             progress.info(
@@ -1234,14 +1226,6 @@ def build_parser() -> argparse.ArgumentParser:
         "(default 2048)",
     )
     analyze.add_argument(
-        "--engine",
-        choices=("object", "columnar"),
-        default="object",
-        help="archive chunk analyzer: per-bundle objects (default) or "
-        "the vectorized columnar path (needs numpy; byte-identical "
-        "reports either way)",
-    )
-    analyze.add_argument(
         "--prefetch",
         type=int,
         default=None,
@@ -1253,7 +1237,7 @@ def build_parser() -> argparse.ArgumentParser:
         "--profile",
         action="store_true",
         help="archive full passes only: print the per-stage wall-time "
-        "breakdown (load/intern/detect/quantify/merge) after analysis",
+        "breakdown (load/detect/quantify/merge) after analysis",
     )
     analyze.set_defaults(func=cmd_analyze)
 

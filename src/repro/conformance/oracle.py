@@ -312,7 +312,6 @@ CONFIG_MODES = (
     "incremental",
     "resume",
     "stream",
-    "columnar",
 )
 
 
@@ -351,19 +350,12 @@ class PipelineConfig:
     @property
     def exact_comparable(self) -> bool:
         """Whether this config's report is byte-comparable to serial."""
-        return self.mode in ("serial", "parallel", "stream", "columnar")
+        return self.mode in ("serial", "parallel", "stream")
 
 
 def default_configs(jobs: int = 4) -> tuple[PipelineConfig, ...]:
-    """The acceptance matrix: serial, sharded, incremental, resume, stream.
-
-    When numpy is importable the matrix grows a ``columnar`` column — the
-    vectorized engine, held to byte identity with serial like every other
-    same-working-set configuration.
-    """
-    from repro.columnar import columnar_available
-
-    configs = [
+    """The acceptance matrix: serial, sharded, incremental, resume, stream."""
+    return (
         PipelineConfig(name="serial", mode="serial"),
         PipelineConfig(
             name=f"parallel-j{jobs}",
@@ -374,12 +366,7 @@ def default_configs(jobs: int = 4) -> tuple[PipelineConfig, ...]:
         PipelineConfig(name="incremental", mode="incremental"),
         PipelineConfig(name="resume-sigkill", mode="resume"),
         PipelineConfig(name="stream", mode="stream", chunk_size=32),
-    ]
-    if columnar_available():
-        configs.append(
-            PipelineConfig(name="columnar", mode="columnar", chunk_size=32)
-        )
-    return tuple(configs)
+    )
 
 
 def run_config(
@@ -408,17 +395,6 @@ def run_config(
         write_archive(rows, path)
         engine = ParallelAnalysisEngine(
             path, jobs=config.jobs, chunk_size=config.chunk_size
-        )
-        report = engine.analyze(persist=False)
-        engine.database.close()
-        return report
-    if config.mode == "columnar":
-        write_archive(rows, path)
-        engine = ParallelAnalysisEngine(
-            path,
-            jobs=config.jobs,
-            chunk_size=config.chunk_size,
-            engine="columnar",
         )
         report = engine.analyze(persist=False)
         engine.database.close()

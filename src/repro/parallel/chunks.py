@@ -24,7 +24,7 @@ DEFAULT_CHUNK_SIZE = 2_048
 
 #: Default loaded-chunks-in-flight bound for the prefetching pipeline.
 #: One chunk being computed plus two loaded-ahead keeps the reader busy
-#: without holding more than a few chunks' columns in memory; 0 disables
+#: without holding more than a few chunks' working sets in memory; 0 disables
 #: prefetching entirely (loads and computes alternate on one thread).
 DEFAULT_PREFETCH_DEPTH = 2
 
@@ -75,11 +75,6 @@ class DetectorSpec:
         )
 
 
-#: Chunk execution engines: per-bundle Python objects, or the vectorized
-#: struct-of-arrays path of :mod:`repro.columnar`.
-CHUNK_ENGINES = ("object", "columnar")
-
-
 @dataclass(frozen=True)
 class ChunkTask:
     """One unit of pool work: analyze one slice of one archive.
@@ -87,9 +82,7 @@ class ChunkTask:
     Either ``chunk`` (a contiguous ``seq`` range) or ``bundle_ids`` (an
     explicit worklist, used for the incremental analyzer's carried-over
     pending bundles) selects the slice. ``index`` orders results during the
-    merge regardless of completion order. ``engine`` picks the per-chunk
-    implementation — both produce byte-identical outcomes, so tasks with
-    different engines may even be mixed within one run.
+    merge regardless of completion order.
     """
 
     index: int
@@ -97,18 +90,12 @@ class ChunkTask:
     spec: DetectorSpec
     chunk: ArchiveChunk | None = None
     bundle_ids: tuple[str, ...] = field(default_factory=tuple)
-    engine: str = "object"
 
     def validate(self) -> None:
         """Raise :class:`ConfigError` when the slice selector is ambiguous."""
         if (self.chunk is None) == (not self.bundle_ids):
             raise ConfigError(
                 "a chunk task needs exactly one of chunk or bundle_ids"
-            )
-        if self.engine not in CHUNK_ENGINES:
-            raise ConfigError(
-                f"chunk engine must be one of {CHUNK_ENGINES}, "
-                f"got {self.engine!r}"
             )
 
 

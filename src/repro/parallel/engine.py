@@ -28,7 +28,6 @@ from repro.dex.oracle import PriceOracle
 from repro.errors import ConfigError
 from repro.obs.registry import NULL_REGISTRY, MetricsRegistry
 from repro.parallel.chunks import (
-    CHUNK_ENGINES,
     DEFAULT_CHUNK_SIZE,
     DEFAULT_PREFETCH_DEPTH,
     ChunkBatch,
@@ -66,7 +65,6 @@ class ParallelAnalysisEngine:
         spec: DetectorSpec | None = None,
         oracle: PriceOracle | None = None,
         metrics: MetricsRegistry | None = None,
-        engine: str = "object",
         prefetch: int = DEFAULT_PREFETCH_DEPTH,
     ) -> None:
         self.database = (
@@ -86,17 +84,6 @@ class ParallelAnalysisEngine:
         self.oracle = oracle or PriceOracle()
         spec = spec or DetectorSpec()
         spec.validate()
-        if engine not in CHUNK_ENGINES:
-            raise ConfigError(
-                f"engine must be one of {CHUNK_ENGINES}, got {engine!r}"
-            )
-        if engine == "columnar":
-            # Fail fast, in the parent process, with an actionable message
-            # — not lazily inside a pool worker.
-            from repro.columnar.engine import require_columnar_spec
-
-            require_columnar_spec(spec)
-        self.engine = engine
         # Workers rebuild the oracle from the spec; pin the rate so pool
         # and in-process quantification price events identically.
         self.spec = (
@@ -132,7 +119,7 @@ class ParallelAnalysisEngine:
         self._stage_seconds = self.metrics.histogram(
             "analyze_stage_seconds",
             "Wall-clock seconds per pipeline stage "
-            "(load/intern/detect/quantify/merge), by stage.",
+            "(load/detect/quantify/merge), by stage.",
             buckets=_CHUNK_BUCKETS,
         )
         #: Accumulated stage breakdown of the most recent run — reset by
@@ -239,7 +226,6 @@ class ParallelAnalysisEngine:
                 archive_path=str(self.database.path),
                 spec=self.spec,
                 chunk=chunk,
-                engine=self.engine,
             )
             for offset, chunk in enumerate(chunks)
         ]

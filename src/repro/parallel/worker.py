@@ -38,9 +38,6 @@ from repro.utils.base58 import b58_cache_stats
 #: The worker process's lazily-opened read-only archive handle.
 _WORKER_DB: ArchiveDatabase | None = None
 
-#: The worker process's cross-chunk interning pool (columnar runs only).
-_WORKER_INTERN = None
-
 
 @dataclass(frozen=True)
 class ChunkOutcome:
@@ -71,8 +68,8 @@ class ChunkOutcome:
 
 
 @dataclass
-class ObjectChunkPayload:
-    """The object path's loaded working set, ready for pure compute."""
+class ChunkPayload:
+    """One chunk's loaded working set, ready for pure compute."""
 
     mini: BundleStore
     load_seconds: float = 0.0
@@ -106,22 +103,9 @@ def _worker_db(archive_path: str) -> ArchiveDatabase:
     return _WORKER_DB
 
 
-def _worker_intern():
-    """This worker's cross-chunk :class:`InternPool`, created lazily."""
-    global _WORKER_INTERN
-    if _WORKER_INTERN is None:
-        from repro.columnar.blocks import InternPool
-
-        _WORKER_INTERN = InternPool()
-    return _WORKER_INTERN
-
-
 def run_chunk(task: ChunkTask) -> ChunkOutcome:
     """Pool entry point: analyze one chunk on this worker's connection."""
-    database = _worker_db(task.archive_path)
-    if task.engine == "columnar":
-        return dispatch_chunk(database, task, intern=_worker_intern())
-    return dispatch_chunk(database, task)
+    return analyze_chunk(_worker_db(task.archive_path), task)
 
 
 def run_chunk_batch(batch: ChunkBatch) -> list[ChunkOutcome]:
@@ -138,59 +122,30 @@ def run_chunk_batch(batch: ChunkBatch) -> list[ChunkOutcome]:
     )
 
 
-def dispatch_chunk(
-    database: ArchiveDatabase, task: ChunkTask, intern=None
-) -> ChunkOutcome:
-    """Route one task to the engine it names (object or columnar).
-
-    The columnar import is deferred so object-only runs never touch
-    :mod:`repro.columnar` (or numpy) at all.
-    """
-    if task.engine == "columnar":
-        from repro.columnar.engine import analyze_chunk_columnar
-
-        return analyze_chunk_columnar(database, task, intern=intern)
-    return analyze_chunk(database, task)
-
-
-def load_task(database: ArchiveDatabase, task: ChunkTask):
+def load_task(database: ArchiveDatabase, task: ChunkTask) -> ChunkPayload:
     """Run one task's *load* stage (every SQLite round-trip it needs).
 
-    The returned payload is engine-specific but always self-contained:
-    :func:`compute_task` never touches the database, which is what lets a
-    prefetch thread run this stage on its own read-only connection while
-    the analyzing thread computes the previous chunk.
+    The returned payload is self-contained: :func:`compute_task` never
+    touches the database, which is what lets a prefetch thread run this
+    stage on its own read-only connection while the analyzing thread
+    computes the previous chunk.
     """
-    if task.engine == "columnar":
-        from repro.columnar.engine import load_chunk_columnar
-
-        return load_chunk_columnar(ArchiveQuery(database), task)
     task.validate()
     started = time.perf_counter()
     before = _counters()
     mini = _load_mini_store(database, task)
     after = _counters()
-    return ObjectChunkPayload(
+    return ChunkPayload(
         mini=mini,
         load_seconds=time.perf_counter() - started,
         cache_deltas={key: after[key] - before[key] for key in after},
     )
 
 
-def compute_task(task: ChunkTask, payload, intern=None) -> ChunkOutcome:
-    """Run one task's *compute* stage over an already-loaded payload."""
-    if task.engine == "columnar":
-        from repro.columnar.engine import compute_chunk_columnar
-
-        return compute_chunk_columnar(task, payload, intern=intern)
-    return _compute_object_chunk(task, payload)
-
-
 def iter_batch_outcomes(
     database: ArchiveDatabase,
     tasks: Iterable[ChunkTask],
     prefetch: int,
-    intern=None,
 ) -> Iterator[ChunkOutcome]:
     """Yield outcomes for ``tasks`` in order, loads overlapped with compute.
 
@@ -202,13 +157,9 @@ def iter_batch_outcomes(
     happen, never what they return.
     """
     tasks = list(tasks)
-    if intern is None and any(task.engine == "columnar" for task in tasks):
-        from repro.columnar.blocks import InternPool
-
-        intern = InternPool()
     if prefetch <= 0 or len(tasks) <= 1:
         for task in tasks:
-            yield compute_task(task, load_task(database, task), intern=intern)
+            yield compute_task(task, load_task(database, task))
         return
     from repro.pipeline.prefetch import ChunkPrefetcher
 
@@ -217,7 +168,7 @@ def iter_batch_outcomes(
     )
     with prefetcher:
         for task, payload in prefetcher:
-            yield compute_task(task, payload, intern=intern)
+            yield compute_task(task, payload)
 
 
 def _load_mini_store(database: ArchiveDatabase, task: ChunkTask) -> BundleStore:
@@ -248,10 +199,9 @@ def _load_mini_store(database: ArchiveDatabase, task: ChunkTask) -> BundleStore:
     return mini
 
 
-def _compute_object_chunk(
-    task: ChunkTask, payload: ObjectChunkPayload
-) -> ChunkOutcome:
-    """Detector, quantifier, classifier over a loaded object working set.
+def compute_task(task: ChunkTask, payload: ChunkPayload) -> ChunkOutcome:
+    """Run one task's *compute* stage: detector, quantifier, classifier
+    over an already-loaded working set.
 
     This is deliberately the same sequence the serial pipeline runs — in
     collection order, restricted to the chunk's bundles. Determinism of
@@ -330,4 +280,4 @@ def _compute_object_chunk(
 
 def analyze_chunk(database: ArchiveDatabase, task: ChunkTask) -> ChunkOutcome:
     """Run the full detection stack over one chunk of the archive."""
-    return _compute_object_chunk(task, load_task(database, task))
+    return compute_task(task, load_task(database, task))

@@ -5,10 +5,10 @@ fan-out, deterministic merge); this package decides *when* the expensive
 parts happen and *where the time goes*:
 
 - :mod:`repro.pipeline.prefetch` — a thread-safe bounded work queue plus
-  a background chunk reader that overlaps SQLite projection loading with
-  in-memory mask evaluation, the threaded sibling of
+  a background chunk reader that overlaps SQLite chunk loading with
+  in-memory detection, the threaded sibling of
   :class:`repro.stream.queues.BoundedStreamQueue`;
-- :mod:`repro.pipeline.profile` — the load/intern/detect/quantify/merge
+- :mod:`repro.pipeline.profile` — the load/detect/quantify/merge
   stage taxonomy, per-run accumulation, and the stage-breakdown table
   behind ``repro analyze --profile``.
 

@@ -7,7 +7,8 @@ wakes every waiter, drain-on-close for buffered items, and a hard error
 (:class:`WorkQueueClosedError`) for producers that race a closed queue —
 re-expressed on a :class:`threading.Condition` because the reader runs on
 a real thread (SQLite loads release the GIL inside the C library, so a
-background reader genuinely overlaps with numpy mask evaluation).
+background reader genuinely overlaps with the analyzing thread's
+detection).
 
 :class:`ChunkPrefetcher` owns that thread: it opens its *own* read-only
 archive connection (sqlite3 connections are bound to their creating

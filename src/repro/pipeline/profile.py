@@ -1,11 +1,10 @@
 """Stage-level wall-time accounting for the analyze read path.
 
 Every chunk's work decomposes into the same taxonomy — :data:`STAGES` =
-``load`` (SQLite projections), ``intern`` (column materialization and
-code interning; zero on the object path), ``detect`` (mask evaluation /
+``load`` (SQLite reads into the chunk's working set), ``detect`` (the
 detector scan), ``quantify`` (lamport math and classification), and
 ``merge`` (the parent's reduce plus report build). Workers stamp the
-first four onto :class:`~repro.parallel.worker.ChunkOutcome.stage_seconds`;
+first three onto :class:`~repro.parallel.worker.ChunkOutcome.stage_seconds`;
 the engine accumulates them into a :class:`StageProfile`, times ``merge``
 itself via :class:`StageTimer`, and feeds every sample through the
 ``analyze_stage_seconds`` histogram in :mod:`repro.obs`.
@@ -23,7 +22,7 @@ import time
 from dataclasses import dataclass, field
 
 #: The canonical stage order for tables and persisted records.
-STAGES = ("load", "intern", "detect", "quantify", "merge")
+STAGES = ("load", "detect", "quantify", "merge")
 
 
 @dataclass

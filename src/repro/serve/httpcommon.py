@@ -17,6 +17,9 @@ import json
 MAX_HEADER_BYTES = 64 * 1024
 #: Bodies larger than this are answered 400.
 MAX_BODY_BYTES = 16 * 1024 * 1024
+#: Seconds a client gets to deliver its whole request (head and body);
+#: a stalled or trickling client is answered 400 and disconnected.
+READ_TIMEOUT_SECONDS = 10.0
 
 STATUS_TEXT = {
     200: "OK",
@@ -74,8 +77,42 @@ async def read_request(
     """Parse one request; None on framing errors (the server answers 400).
 
     Header names come back lower-cased; the method upper-cased. The body is
-    read to exactly ``Content-Length`` bytes.
+    read to exactly ``Content-Length`` bytes. A request not fully read
+    within :data:`READ_TIMEOUT_SECONDS` counts as a framing error.
+
+    The deadline is one timer that cancels the reading task, the way
+    ``asyncio.timeout`` works on Python 3.11+; ``asyncio.wait_for`` would
+    wrap every read in a new task, several times the cost of a read that
+    finds its bytes already buffered.
     """
+    task = asyncio.current_task()
+    expired = False
+
+    def expire() -> None:
+        nonlocal expired
+        expired = True
+        task.cancel()
+
+    timer = asyncio.get_running_loop().call_later(READ_TIMEOUT_SECONDS, expire)
+    try:
+        return await _read_framed(reader)
+    except asyncio.CancelledError:
+        # Only the deadline's own cancellation becomes a framing error; a
+        # server shutdown cancelling the handler still propagates. Python
+        # 3.11+ counts cancel requests, so withdraw the deadline's and
+        # check none other remains; 3.10 cannot tell them apart.
+        uncancel = getattr(task, "uncancel", None)
+        if not expired or (uncancel is not None and uncancel() > 0):
+            raise
+        return None
+    finally:
+        timer.cancel()
+
+
+async def _read_framed(
+    reader: asyncio.StreamReader,
+) -> tuple[str, str, dict[str, str], bytes] | None:
+    """The body of :func:`read_request`, without the deadline."""
     try:
         head = await reader.readuntil(b"\r\n\r\n")
     except (asyncio.IncompleteReadError, asyncio.LimitOverrunError):

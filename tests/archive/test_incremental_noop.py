@@ -7,8 +7,6 @@ archive already holds and says so.
 
 import dataclasses
 
-import pytest
-
 from repro.archive.database import ArchiveDatabase
 from repro.archive.incremental import IncrementalAnalyzer
 from repro.archive.store import ArchiveBundleStore
@@ -127,28 +125,6 @@ def test_rerun_with_jobs_is_still_a_noop(tmp_path):
     assert second.new_bundles == 0
     assert report_bytes(second.report) == report_bytes(first.report)
     assert analyzer.load_state() == state_before
-    assert database.table_counts() == counts_before
-    assert (
-        metrics.counter("archive_incremental_noop_total", "").value() == 1
-    )
-    database.close()
-
-
-def test_rerun_with_columnar_engine_is_still_a_noop(tmp_path):
-    """The columnar engine routes through the chunked delta, but an empty
-    delta must still short-circuit before any chunk planning happens."""
-    pytest.importorskip("numpy")
-    metrics = MetricsRegistry()
-    database = ArchiveDatabase(_fresh_archive(tmp_path))
-    first = IncrementalAnalyzer(database).analyze()
-    analyzer = IncrementalAnalyzer(
-        database, jobs=2, engine="columnar", metrics=metrics
-    )
-    counts_before = database.table_counts()
-
-    second = analyzer.analyze()
-    assert second.no_op
-    assert report_bytes(second.report) == report_bytes(first.report)
     assert database.table_counts() == counts_before
     assert (
         metrics.counter("archive_incremental_noop_total", "").value() == 1

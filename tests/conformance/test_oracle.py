@@ -114,20 +114,10 @@ def test_pipeline_config_validation():
 
 
 def test_default_configs_cover_the_matrix():
-    from repro.columnar import columnar_available
-
     names = [config.mode for config in default_configs(jobs=2)]
-    expected = ["serial", "parallel", "incremental", "resume", "stream"]
-    exact_modes = {"serial", "parallel", "stream"}
-    if columnar_available():
-        # With numpy importable the matrix grows the columnar column,
-        # held to byte identity with serial like the other same-order
-        # configurations.
-        expected.append("columnar")
-        exact_modes.add("columnar")
-    assert names == expected
+    assert names == ["serial", "parallel", "incremental", "resume", "stream"]
     exact = [c for c in default_configs() if c.exact_comparable]
-    assert {c.mode for c in exact} == exact_modes
+    assert {c.mode for c in exact} == {"serial", "parallel", "stream"}
 
 
 def test_run_differential_matrix_is_identical(tmp_path):

@@ -9,6 +9,7 @@ import pytest
 from repro.collector.http_client import HttpExplorerClient
 from repro.explorer.http_server import ThreadedExplorerServer
 from repro.explorer.service import ExplorerConfig, ExplorerService
+from repro.serve import httpcommon
 from repro.simulation import SimulationEngine
 from tests.conftest import raw_exchange, status_of, tiny_scenario
 
@@ -73,6 +74,16 @@ class TestHostileInputs:
             robust_server.port,
             b"POST /api/v1/transactions HTTP/1.1\r\n"
             b"Host: x\r\nContent-Length: banana\r\n\r\n",
+        )
+        assert status_of(response) == b"400"
+        assert self_still_alive(robust_server)
+
+    def test_stalled_partial_head(self, robust_server, monkeypatch):
+        # A client that sends half a head and stalls is cut off at the
+        # read deadline, not held open forever.
+        monkeypatch.setattr(httpcommon, "READ_TIMEOUT_SECONDS", 0.1)
+        response = raw_exchange(
+            robust_server.port, b"GET /healthz HTTP/1.1\r\nHost: x\r\n"
         )
         assert status_of(response) == b"400"
         assert self_still_alive(robust_server)

@@ -17,6 +17,7 @@ from repro.archive.incremental import IncrementalAnalyzer
 from repro.parallel import ParallelAnalysisEngine
 from repro.parallel.merge import report_bytes
 from tests.parallel.helpers import descriptor_rows, write_rows
+from tests.parallel.test_engine import serial_report
 
 KINDS = ("sandwich", "benign3", "undetailed3", "plain", "long", "pair")
 
@@ -65,6 +66,38 @@ def test_full_analysis_parity_across_job_counts(
             parallel.headline.attacker_gain_usd
             == serial.headline.attacker_gain_usd
         )
+
+
+@given(
+    descriptors=st.lists(
+        st.tuples(
+            st.sampled_from(KINDS),
+            st.integers(min_value=0, max_value=4),
+            st.sampled_from((0, 10_000, 100_000, 2_000_000)),  # zero tips
+        ),
+        min_size=1,
+        max_size=12,
+    ),
+    chunk_size=st.integers(min_value=1, max_value=5),
+)
+@SETTINGS
+def test_report_bytes_match_at_any_chunk_size(
+    tmp_path_factory, descriptors, chunk_size
+):
+    """Single-bundle chunks (chunk_size=1) and every size above must all
+    reduce to the serial pipeline's report."""
+    rows = descriptor_rows(descriptors)
+    base = tmp_path_factory.mktemp("chunk")
+    write_rows(base / "serial.db", rows)
+    write_rows(base / "chunked.db", rows)
+    engine = ParallelAnalysisEngine(
+        base / "chunked.db", jobs=1, chunk_size=chunk_size
+    )
+    chunked = engine.analyze(persist=False)
+    engine.database.close()
+    assert report_bytes(chunked) == report_bytes(
+        serial_report(base / "serial.db")
+    )
 
 
 @given(

@@ -1,7 +1,7 @@
 """Byte-identity of pipelined runs across prefetch depths and job counts.
 
 The differential guarantee: prefetching is a *scheduling* change, not a
-semantic one. Every (engine, jobs, prefetch) combination must reproduce
+semantic one. Every (jobs, prefetch) combination must reproduce
 the serial pipeline's report bytes exactly — including a run that stops
 mid-archive and resumes from the incremental watermark with prefetching
 enabled.
@@ -30,33 +30,21 @@ def serial_bytes(archive):
 
 
 class TestPrefetchIdentity:
-    @pytest.mark.parametrize("engine_kind", ["object", "columnar"])
     @pytest.mark.parametrize("prefetch", [0, 1, 2, 7])
     def test_in_process_bytes_identical_at_any_depth(
-        self, archive, serial_bytes, engine_kind, prefetch
+        self, archive, serial_bytes, prefetch
     ):
         engine = ParallelAnalysisEngine(
-            archive,
-            jobs=1,
-            chunk_size=5,
-            engine=engine_kind,
-            prefetch=prefetch,
+            archive, jobs=1, chunk_size=5, prefetch=prefetch
         )
         assert report_bytes(engine.analyze(persist=False)) == serial_bytes
         engine.database.close()
 
-    @pytest.mark.parametrize("engine_kind", ["object", "columnar"])
-    def test_pool_batched_bytes_identical(
-        self, archive, serial_bytes, engine_kind
-    ):
+    def test_pool_batched_bytes_identical(self, archive, serial_bytes):
         # chunk_size 5 over ~42 bundles gives more tasks than workers, so
         # the pool takes the batched per-worker pipelined path.
         engine = ParallelAnalysisEngine(
-            archive,
-            jobs=2,
-            chunk_size=5,
-            engine=engine_kind,
-            prefetch=2,
+            archive, jobs=2, chunk_size=5, prefetch=2
         )
         assert report_bytes(engine.analyze(persist=False)) == serial_bytes
         engine.database.close()

@@ -33,7 +33,7 @@ def archive(tmp_path):
     return path
 
 
-def make_tasks(path, chunk_size=4, engine="object"):
+def make_tasks(path, chunk_size=4):
     """Plan the archive into :class:`ChunkTask` units for the prefetcher."""
     database = ArchiveDatabase(path, read_only=True)
     spec = DetectorSpec(usd_per_sol=150.0)
@@ -45,7 +45,6 @@ def make_tasks(path, chunk_size=4, engine="object"):
             archive_path=str(path),
             spec=spec,
             chunk=chunk,
-            engine=engine,
         )
         for chunk in chunks
     ]

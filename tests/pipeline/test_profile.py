@@ -3,9 +3,8 @@
 Pins the stage taxonomy (:data:`~repro.pipeline.profile.STAGES`), the
 :class:`StageProfile` arithmetic the ``--profile`` table and
 BENCH_PERF.json records are built from, the ``analyze_stage_seconds``
-histogram wiring, and the engine-level invariants: every run profiles
-load/detect/quantify/merge, the columnar path adds intern, and the
-object path leaves intern at zero.
+histogram wiring, and the engine-level invariant that every run
+profiles load/detect/quantify/merge.
 """
 
 import pytest
@@ -26,7 +25,7 @@ def archive(tmp_path_factory):
 
 class TestStageProfile:
     def test_taxonomy_is_the_documented_order(self):
-        assert STAGES == ("load", "intern", "detect", "quantify", "merge")
+        assert STAGES == ("load", "detect", "quantify", "merge")
 
     def test_add_and_shares(self):
         profile = StageProfile()
@@ -97,35 +96,21 @@ class TestStageTimer:
 
 
 class TestEngineProfile:
-    def _analyze(self, archive, engine_kind):
+    def test_object_run_profiles_load_detect_quantify_merge(self, archive):
         registry = MetricsRegistry()
         engine = ParallelAnalysisEngine(
-            archive,
-            jobs=1,
-            chunk_size=5,
-            engine=engine_kind,
-            metrics=registry,
+            archive, jobs=1, chunk_size=5, metrics=registry
         )
         engine.analyze(persist=False)
         profile = engine.stage_profile
         engine.database.close()
-        return profile, registry
-
-    def test_object_run_profiles_load_detect_quantify_merge(self, archive):
-        profile, registry = self._analyze(archive, "object")
         assert profile.chunks > 0
-        for stage in ("load", "detect", "quantify", "merge"):
+        assert set(profile.seconds) == set(STAGES)
+        for stage in STAGES:
             assert profile.seconds[stage] > 0.0
-        # The object path has no interning stage.
-        assert profile.seconds["intern"] == 0.0
         histogram = registry.histogram("analyze_stage_seconds")
         assert histogram.count(stage="load") == profile.chunks
         assert histogram.count(stage="merge") == 1
-
-    def test_columnar_run_adds_the_intern_stage(self, archive):
-        profile, _registry = self._analyze(archive, "columnar")
-        for stage in STAGES:
-            assert profile.seconds[stage] > 0.0
 
     def test_profile_resets_between_analyze_calls(self, archive):
         engine = ParallelAnalysisEngine(archive, jobs=1, chunk_size=5)

@@ -1,7 +1,7 @@
 """Per-pack differential oracle: every engine agrees on every pack.
 
 The acceptance criterion: all three packs must produce byte-identical
-reports across the serial, parallel, columnar, and stream engines — the
+reports across the serial, parallel, and stream engines — the
 same oracle matrix the conformance tier runs for plain scenarios, applied
 to each pack's observed (public-feed) rows.
 """
@@ -12,7 +12,7 @@ from repro.conformance.oracle import default_configs, run_rows_differential
 from repro.scenarios.generate import build_pack_campaign
 from repro.scenarios.packs import CORPUS_PACKS
 
-REQUIRED_ENGINES = ("serial", "parallel", "stream", "columnar")
+REQUIRED_ENGINES = ("serial", "parallel", "stream")
 
 
 @pytest.mark.parametrize("pack", CORPUS_PACKS, ids=lambda p: p.name)

@@ -19,7 +19,7 @@ from repro.conformance.scenarios import (
     generate_rows,
     write_archive,
 )
-from repro.serve import ApiConfig, ArchiveApiApp, ThreadedApiServer
+from repro.serve import ApiConfig, ArchiveApiApp, ThreadedApiServer, httpcommon
 from tests.conftest import raw_exchange, status_of
 from tests.serve.conftest import http_json, http_request
 
@@ -55,6 +55,21 @@ class TestHostileInputs:
         "payload", MALFORMED_REQUESTS.values(), ids=MALFORMED_REQUESTS.keys()
     )
     def test_malformed_request_gets_400_and_close(self, server, payload):
+        assert status_of(raw_exchange(server.port, payload)) == b"400"
+        assert http_json(server.port, "/v1/status")["status"]
+
+    @pytest.mark.parametrize(
+        "payload",
+        [
+            b"GET /v1/status HTTP/1.1\r\nHost: x\r\n",
+            b"GET /v1/status HTTP/1.1\r\nContent-Length: 10\r\n\r\nabc",
+        ],
+        ids=["partial-head", "partial-body"],
+    )
+    def test_stalled_request_hits_read_deadline(
+        self, server, payload, monkeypatch
+    ):
+        monkeypatch.setattr(httpcommon, "READ_TIMEOUT_SECONDS", 0.1)
         assert status_of(raw_exchange(server.port, payload)) == b"400"
         assert http_json(server.port, "/v1/status")["status"]
 
